@@ -12,10 +12,16 @@ record.  Scale knobs (all optional):
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
+
+# the reference-loop oracle lives in the test package (tests/sim_oracle.py)
+_REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 
 def pytest_addoption(parser):

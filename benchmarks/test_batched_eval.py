@@ -13,12 +13,13 @@ search — over three independently sampled pools (seeds 0, 1, 2) and
 compares:
 
 - **reference serial** — a per-candidate ``evaluate`` loop on a fresh
-  ``PlanBuilder(..., engine="reference")``: the pre-batching pipeline
-  on the pure-python event loop, which is also the paired-fuzzing
-  baseline (``tests/test_batched_identity.py``);
+  ``PlanBuilder`` with every simulation routed through the reference-
+  loop oracle (``tests/sim_oracle.reference_engine``): the pre-batching
+  pipeline on the pure-python event loop, which is also the
+  paired-fuzzing baseline (``tests/test_batched_identity.py``);
 - **batched** — ``evaluate_many(pool, best=BestSoFar())`` on a fresh
-  default-engine builder: lane bounds, prebound kills, ascending-bound
-  evaluation order, kernel event loop.
+  builder: lane bounds, prebound kills, ascending-bound evaluation
+  order, kernel event loop.
 
 Correctness gates (also the CI ``--quick`` smoke step): every surviving
 lane's makespan — and the winning (index, makespan) pair — must be
@@ -50,6 +51,8 @@ from repro.graph.grouping import group_operations
 from repro.graph.models import build_model
 from repro.plan import BestSoFar, PlanBuilder
 from repro.profiling import Profiler
+
+from tests.sim_oracle import reference_engine
 
 #: measured speedup may drop to this fraction of the committed baseline
 #: before the benchmark fails (machine-relative, so portable)
@@ -128,9 +131,9 @@ def test_batched_eval_speedup(setup, report, results_dir):
         pool = grouped_candidates(graph, cluster, n, seed=seed)
 
         def serial():
-            builder = PlanBuilder(graph, cluster, profile,
-                                  engine="reference")
-            return [builder.evaluate(s) for s in pool]
+            with reference_engine():
+                builder = PlanBuilder(graph, cluster, profile)
+                return [builder.evaluate(s) for s in pool]
 
         def batched():
             builder = PlanBuilder(graph, cluster, profile)

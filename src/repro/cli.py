@@ -200,7 +200,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     config = bench_agent_config(args.seed)
     config.eval_workers = args.workers
     config.prune = not args.no_prune
-    config.engine = args.engine
     measured = ctx.run_heterog(graph, episodes=args.episodes,
                                agent_config=config)
     print(f"per-iteration time : {measured.display_time} s")
@@ -355,7 +354,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
                            agent=bench_agent_config(args.seed))
     config.agent.eval_workers = args.workers
     config.agent.prune = not args.no_prune
-    config.agent.engine = args.engine
     heterog = HeteroG(cluster, config)
     with telemetry.session() as tel:
         print(f"searching healthy deployment for {graph.name} on {cluster} "
@@ -388,19 +386,15 @@ def _backend_options(args: argparse.Namespace) -> Optional[dict]:
 
 
 def _add_eval_args(p: argparse.ArgumentParser) -> None:
-    """The evaluation knobs shared by every planning command
-    (``plan`` / ``serve`` / ``bench-service`` / ``churn``): same flag
-    names, same defaults everywhere.  Both are result-transparent
-    throughput switches; ``--no-prune`` is nevertheless fingerprinted
-    by the planning service so a pruned and an unpruned request never
-    coalesce, keeping A/B timings honest."""
+    """The evaluation knob shared by every planning command (``plan`` /
+    ``serve`` / ``bench-service`` / ``churn``): same flag name, same
+    default everywhere.  ``--no-prune`` is a result-transparent
+    throughput switch; it is nevertheless fingerprinted by the planning
+    service so a pruned and an unpruned request never coalesce, keeping
+    A/B timings honest."""
     p.add_argument("--no-prune", action="store_true",
                    help="disable branch-and-bound candidate pruning "
                    "(slower; results are identical either way)")
-    p.add_argument("--engine", choices=["kernel", "reference"],
-                   default="kernel",
-                   help="simulation event loop (default: kernel; the "
-                   "reference loop is slower but bit-identical)")
 
 
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
@@ -439,7 +433,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     cluster = _resolve_cluster(args.cluster)()
     graph = build_model(model_name, args.preset)
     config = HeteroGConfig(seed=args.seed)
-    config.agent.engine = args.engine
     # each unique group gets its own episode budget, so groups have
     # distinct fingerprints while copies within a group are identical
     requests = [
@@ -492,7 +485,6 @@ def cmd_bench_service(args: argparse.Namespace) -> int:
     print(f"benchmarking {args.duplicates} duplicate requests for "
           f"{graph.name} on {cluster}...", file=sys.stderr)
     config = HeteroGConfig(seed=args.seed)
-    config.agent.engine = args.engine
     numbers = bench_coalescing(
         graph, cluster, duplicates=args.duplicates,
         episodes=args.episodes, workers=args.workers,

@@ -15,8 +15,10 @@ simulation and deployment:
   killed before compilation (``prune_stage="prebound"``), and survivors
   run in ascending-bound order against the shared best-so-far;
 - :class:`BatchEvaluator` is the multi-context / multi-process front
-  end over ``evaluate_many``, with deterministic, input-ordered results
-  (``max_workers=1`` falls back to the serial batched path).
+  end over ``evaluate_many``, with deterministic, input-ordered results:
+  ``max_workers > 1`` fans candidates over its private process pool
+  (the one cross-process candidate fan-out), ``max_workers=1`` stays on
+  the serial batched path.
 
 Cache behaviour is observable through the ``plan_cache_hits_total`` and
 ``plan_cache_misses_total`` telemetry counters.

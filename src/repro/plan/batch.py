@@ -24,14 +24,9 @@ to the serial path:
 
 Workers are primed once with the evaluation context(s) — graph, cluster,
 profile, scheduler flags — via the pool initializer; per-task payloads
-are only the portable dict form of each strategy.
-
-When a planning-service **fleet** backend is live in this process
-(``repro.service.backends.active_fleet()``), the evaluator borrows the
-fleet's persistent workers for its fan-out instead of opening a second
-private pool — same priming contract (contexts keyed by their content
-digest), same ordering guarantee, with graceful fallback to the private
-pool or serial path if the fleet refuses (closing, lost workers, ...).
+are only the portable dict form of each strategy.  The private pool is
+the only cross-process fan-out for candidate evaluation; a planning
+service's process fleet serves whole plan requests, not candidates.
 """
 
 from __future__ import annotations
@@ -117,7 +112,7 @@ class BatchEvaluator:
         """Evaluate (context, strategy) pairs, preserving input order.
 
         ``best`` threads the search's :class:`BestSoFar` threshold(s)
-        into every path (serial, private pool, fleet borrow); exact
+        into both paths (serial and private pool); exact
         feasible results are observed back into it, each exactly once.
         The guarantee under pruning is *winner identity*: the candidate
         an argmin over these outcomes selects — and its outcome — is
@@ -158,9 +153,6 @@ class BatchEvaluator:
                          prune: bool = True) -> List[EvalOutcome]:
         if self.max_workers == 1 or len(todo) == 1:
             return self._evaluate_serial(todo, best=best, prune=prune)
-        borrowed = self._evaluate_on_fleet(todo, best=best, prune=prune)
-        if borrowed is not None:
-            return borrowed
         try:
             pool = self._ensure_pool()
             # pool workers cannot share the tracker object, so each task
@@ -185,48 +177,6 @@ class BatchEvaluator:
                 if tracker is not None and outcome.feasible:
                     tracker.observe(outcome.time)
         return outcomes
-
-    def _evaluate_on_fleet(self, todo: Sequence[Tuple[str, Strategy, str]],
-                           *, best: Optional[BestMap] = None,
-                           prune: bool = True
-                           ) -> Optional[List[EvalOutcome]]:
-        """Borrow a live planning-fleet's workers, if one is running.
-
-        Returns ``None`` (fall through to the private pool) when no
-        fleet is active or the fleet refuses the batch — the caller's
-        ordering/caching semantics never depend on the borrow working.
-        """
-        # lazy import: repro.service imports the plan layer, so the
-        # module-level direction must stay plan <- service only
-        from ..errors import ReproError
-        from ..service.backends import active_fleet
-
-        fleet = active_fleet()
-        if fleet is None:
-            return None
-        used = {context for context, _, _ in todo}
-        digests = {name: b.context_fingerprint
-                   for name, b in self._builders.items() if name in used}
-        payloads = {
-            name: (b.graph, b.cluster, b.profile,
-                   b.use_order_scheduling, b.group_of)
-            for name, b in self._builders.items() if name in used
-        }
-        items = [(context, strategy_to_dict(strategy))
-                 for context, strategy, _ in todo]
-        trackers: Optional[Dict[str, BestSoFar]] = None
-        if prune and best is not None:
-            trackers = {}
-            for name in used:
-                tracker = _best_for(best, name)
-                if tracker is not None:
-                    trackers[name] = tracker
-            trackers = trackers or None
-        try:
-            return fleet.evaluate_batch(payloads, digests, items,
-                                        best=trackers, prune=prune)
-        except ReproError:
-            return None
 
     def _evaluate_serial(self, todo: Sequence[Tuple[str, Strategy, str]], *,
                          best: Optional[BestMap] = None,

@@ -26,7 +26,7 @@ from ..scheduling.list_scheduler import FifoScheduler, ListScheduler
 from ..simulation.batch import LanePlanner
 from ..simulation.costs import ProfileCostModel
 from ..simulation.engine import Simulator
-from ..simulation.kernel import PRUNE_GUARD, kernel_lower_bound, lower
+from ..simulation.kernel import exceeds, kernel_lower_bound, lower
 from ..simulation.metrics import SimulationResult
 from .cache import PlanCache
 from .fingerprint import fingerprint_context, fingerprint_strategy
@@ -35,12 +35,6 @@ from .pruning import BestSoFar
 
 DEFAULT_PLAN_CACHE = 64
 DEFAULT_OUTCOME_CACHE = 4096
-
-#: valid values for the builder's ``engine`` knob.  The two engines are
-#: bit-identical (PR 3's paired-fuzzing contract), so the knob changes
-#: wall-clock only, never results — which is why it is *not* part of the
-#: context fingerprint.
-ENGINES = ("kernel", "reference")
 
 
 class PlanBuilder:
@@ -51,13 +45,7 @@ class PlanBuilder:
                  use_order_scheduling: bool = True,
                  group_of: Optional[Mapping[str, int]] = None,
                  plan_cache_size: int = DEFAULT_PLAN_CACHE,
-                 outcome_cache_size: int = DEFAULT_OUTCOME_CACHE,
-                 engine: str = "kernel"):
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown simulation engine {engine!r}; expected one of "
-                f"{ENGINES}")
-        self.engine = engine
+                 outcome_cache_size: int = DEFAULT_OUTCOME_CACHE):
         self.graph = graph
         self.cluster = cluster
         self.profile = profile if profile is not None else Profiler().profile(
@@ -145,16 +133,14 @@ class PlanBuilder:
             kernel = lower(dist)
             if limit is not None:
                 bound = kernel_lower_bound(kernel, self.cost)
-                # violation beyond the fp guard margin only — a bound's
-                # rounding may differ from the event loop's by ulps
-                if bound is not None and bound > limit * (1.0 + PRUNE_GUARD):
+                if bound is not None and exceeds(bound, limit):
                     return None, self._pruned_outcome(
                         stage="bound", bound=bound, threshold=limit,
                         dist_ops=len(dist))
             schedule = self._scheduler.schedule(
                 dist, self.cost, kernel=kernel,
                 resident_bytes=resident, capacities=self.capacities,
-                prune_above=limit, prune=prune, engine=self.engine,
+                prune_above=limit, prune=prune,
             )
             sim = schedule.sim_result
             if sim is not None and sim.pruned:
@@ -186,8 +172,7 @@ class PlanBuilder:
     # ------------------------------------------------------------------ #
     def simulate(self, plan: ExecutionPlan, *,
                  trace: bool = False,
-                 prune_above: Optional[float] = None,
-                 engine: Optional[str] = None) -> SimulationResult:
+                 prune_above: Optional[float] = None) -> SimulationResult:
         """Run the Strategy Maker's simulator over a plan.
 
         Plans built by this builder already carry the chosen order's
@@ -195,8 +180,6 @@ class PlanBuilder:
         e.g. after mutating the dist graph.  ``prune_above`` aborts the
         run once the simulated clock exceeds it (deterministic cost
         providers only) and returns a partial, ``pruned`` result.
-        ``engine`` overrides the builder's engine for this run (the two
-        engines return bit-identical results).
         """
         kernel = plan.kernel
         if kernel is not None and kernel.version != plan.dist.version:
@@ -210,7 +193,6 @@ class PlanBuilder:
             capacities=dict(plan.capacities),
             trace=trace,
             kernel=kernel,
-            engine=engine if engine is not None else self.engine,
             prune_above=prune_above,
         )
 
@@ -272,12 +254,12 @@ class PlanBuilder:
         """Evaluate a population of candidates through one batched pass.
 
         The single canonical population entry point: every consumer
-        that evaluates more than one candidate (`BatchEvaluator`, the
-        fleet's borrowed workers, REINFORCE episodes, CEM rounds, MCMC
-        restarts) routes through here.  Results are returned in input
-        order and each is exactly what :meth:`evaluate` would return —
-        per-candidate outcome caching, fingerprinting and best-so-far
-        observation all behave identically.
+        that evaluates more than one candidate (`BatchEvaluator`,
+        REINFORCE episodes, CEM rounds, MCMC restarts) routes through
+        here.  Results are returned in input order and each is exactly
+        what :meth:`evaluate` would return — per-candidate outcome
+        caching, fingerprinting and best-so-far observation all behave
+        identically.
 
         What the batch adds over a per-candidate loop:
 
@@ -295,12 +277,12 @@ class PlanBuilder:
 
         Pruning never changes the winner: prebound kills use admissible
         bounds, so any lane that could beat the threshold is fully
-        evaluated and bit-identical to its serial ``evaluate`` (and to
-        ``engine="reference"``).  With ``prune=False`` or no threshold
-        source the batch degrades to the plain input-order sweep.
+        evaluated and bit-identical to its serial ``evaluate``.  With
+        ``prune=False`` or no threshold source the batch degrades to the
+        plain input-order sweep.
 
-        ``prune_above`` may be a scalar or a per-candidate sequence
-        (the fleet stamps one threshold snapshot per item at dispatch).
+        ``prune_above`` may be a scalar or a per-candidate sequence of
+        hard caps.
         """
         strategies = list(strategies)
         if not strategies:
@@ -337,7 +319,7 @@ class PlanBuilder:
         for i in order:
             limit = self._prune_limit(best, thresholds[i]) if prune else None
             bound = bounds[i] if bounds is not None else float("-inf")
-            if limit is not None and bound > limit * (1.0 + PRUNE_GUARD):
+            if limit is not None and exceeds(bound, limit):
                 self.evals_total += 1
                 cached = self.cached_outcome(fps[i], limit=limit, best=best)
                 if cached is not None:
@@ -380,7 +362,7 @@ class PlanBuilder:
             return None
         if cached.pruned:
             if (limit is None or cached.bound is None
-                    or not cached.bound > limit * (1.0 + PRUNE_GUARD)):
+                    or not exceeds(cached.bound, limit)):
                 return None
             self.evals_pruned += 1
             self._observe_pruned_fraction()

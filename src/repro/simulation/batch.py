@@ -39,8 +39,8 @@ is what :meth:`~repro.plan.builder.PlanBuilder.evaluate_many` orders
 lanes by and prunes against a shared
 :class:`~repro.plan.pruning.BestSoFar` snapshot.  Lanes the bound
 cannot kill run the unchanged serial pipeline, so every surviving
-lane's outcome is bit-identical to its serial (and ``engine="reference"``)
-evaluation by construction.
+lane's outcome is bit-identical to its serial evaluation by
+construction.
 
 Admissibility is the whole contract: a bound that overestimated would
 prune a potential winner.  Any lane whose reconstruction fails (a

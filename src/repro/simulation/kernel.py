@@ -320,6 +320,13 @@ class SimKernel:
 PRUNE_GUARD = 1e-9
 
 
+def exceeds(bound: float, limit: float) -> bool:
+    """True when ``bound`` provably exceeds ``limit`` by more than the fp
+    guard margin (:data:`PRUNE_GUARD`) — the one rule every bound-vs-
+    threshold prune decision goes through."""
+    return bound > limit * (1.0 + PRUNE_GUARD)
+
+
 def kernel_lower_bound(kernel: SimKernel,
                        cost: CostProvider) -> Optional[float]:
     """Admissible makespan lower bound for ``kernel`` under ``cost``.

@@ -30,7 +30,6 @@ from repro.service import (
     ThreadBackend,
     make_backend,
 )
-from repro.service.backends import active_fleet
 from repro.service.messages import (
     CompletedMessage,
     HeartbeatMessage,
@@ -378,23 +377,21 @@ class TestFleetBackend:
         exits = journal_events(svc, event="worker_exit")
         assert len(exits) >= 2
 
-    def test_batch_evaluator_borrows_fleet(self, mlp, four_gpu):
+    def test_batch_evaluator_uses_private_pool_beside_fleet(
+            self, mlp, four_gpu):
+        """A live fleet serves plan requests only: candidate fan-out
+        stays on the evaluator's private pool, bit-identical to serial."""
         strategies = [dp_strategy(n, mlp, four_gpu)
                       for n in DP_BASELINES]
         serial = [PlanBuilder(mlp, four_gpu).evaluate(s)
                   for s in strategies]
-        svc, backend = self.fleet_service("borrow")
+        svc, backend = self.fleet_service("beside")
         with svc:
             backend.ensure_started()
-            assert active_fleet() is backend
-            batch = BatchEvaluator(PlanBuilder(mlp, four_gpu),
-                                   max_workers=2)
-            outcomes = batch.evaluate(strategies)
-            assert batch._pool is None   # borrowed, no private pool
-            assert backend.stats.eval_jobs >= 1
+            with BatchEvaluator(PlanBuilder(mlp, four_gpu),
+                                max_workers=2) as batch:
+                outcomes = batch.evaluate(strategies)
+                assert batch._pool is not None   # the private pool ran
+            assert backend.stats.dispatched == 0
         assert [o.time for o in outcomes] == [o.time for o in serial]
         assert [o.oom for o in outcomes] == [o.oom for o in serial]
-        assert active_fleet() is None    # unregistered on close
-        # with the fleet gone the evaluator falls back transparently
-        fallback = batch.evaluate([strategies[0]])
-        assert fallback[0].time == serial[0].time

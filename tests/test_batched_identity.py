@@ -5,7 +5,8 @@ its contract, hammered here across cost regimes:
 
 - every *surviving* lane's outcome is bit-identical to a serial
   ``evaluate`` of the same strategy (work-conserving and FIFO
-  scheduling, kernel and reference engines);
+  scheduling, and against a serial sweep run on the reference-loop
+  oracle, ``tests/sim_oracle.py``);
 - the batched winner is the serial winner, byte-equal makespan;
 - lanes killed by the lane bound ("prebound"), the static kernel bound
   ("bound") or a mid-simulation abort ("midsim") report *admissible*
@@ -32,6 +33,8 @@ from repro.profiling import exact_profile
 from repro.scheduling import ListScheduler
 from repro.simulation import LanePlanner, Simulator
 from repro.simulation.costs import TruthCostModel
+
+from tests.sim_oracle import reference_engine
 
 CLUSTER = cluster_4gpu()
 
@@ -146,11 +149,12 @@ class TestPairedIdentity:
               suppress_health_check=[HealthCheck.too_slow])
     @given(graph_and_pool())
     def test_reference_engine_pairing(self, payload):
-        """Batched on the kernel engine vs serial on the reference
-        engine: the acceptance pairing — surviving lanes byte-equal."""
+        """Batched on the kernel loop vs serial on the reference-loop
+        oracle: the acceptance pairing — surviving lanes byte-equal."""
         graph, pool = payload
         profile = exact_profile(graph, CLUSTER)
-        truth = serial_truth(graph, profile, pool, engine="reference")
+        with reference_engine():
+            truth = serial_truth(graph, profile, pool)
         builder = PlanBuilder(graph, CLUSTER, profile)
         outcomes = builder.evaluate_many(pool, best=BestSoFar())
         assert_paired(outcomes, truth)

@@ -31,7 +31,7 @@ from repro.profiling import Profiler, exact_profile
 from repro.scheduling import ListScheduler
 from repro.service.messages import (
     WIRE_VERSION,
-    EvalRequestMessage,
+    PlanRequestMessage,
     message_from_wire,
 )
 from repro.simulation import ProfileCostModel, Simulator
@@ -358,17 +358,16 @@ class TestCacheSoundness:
 
 # --------------------------------------------------------------------- #
 class TestWireProtocol:
-    def test_version_bumped_for_prune_fields(self):
-        assert WIRE_VERSION == 2
-        msg = EvalRequestMessage(job="j", prune_above={"ctx": 1.5})
+    def test_version_bumped_for_eval_frame_removal(self):
+        assert WIRE_VERSION == 3
+        msg = PlanRequestMessage(ticket="t", queue_seconds=0.5)
         wire = msg.to_wire()
-        assert wire["v"] == 2
-        decoded = message_from_wire(wire)
-        assert decoded.prune_above == {"ctx": 1.5}
-        assert decoded.prune is True
+        assert wire["v"] == 3
+        assert message_from_wire(wire) == msg
 
     def test_old_version_frame_rejected(self):
-        wire = EvalRequestMessage(job="j").to_wire()
-        wire["v"] = 1
-        with pytest.raises(FleetProtocolError):
-            message_from_wire(wire)
+        for version in (1, 2):
+            wire = PlanRequestMessage(ticket="t").to_wire()
+            wire["v"] = version
+            with pytest.raises(FleetProtocolError, match="version"):
+                message_from_wire(wire)

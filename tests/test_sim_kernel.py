@@ -1,12 +1,12 @@
 """Golden-equivalence suite for the array-lowered simulation kernel.
 
-The kernel engine (``engine="kernel"``, the default) must be
-*bit-identical* to the original dict-based event loop, which is kept in
-the tree as ``engine="reference"``.  These tests pair the two engines
-over compiled model graphs and crafted edge cases and compare every
-observable: the full schedule trace, makespan, busy/overlap metrics,
-peak memory, the OOM device set, and — for deadlocks — the exact error
-message bytes.
+:class:`Simulator`'s kernel event loop must be *bit-identical* to the
+original dict-based event loop, which the test suite keeps as its
+oracle (:func:`tests.sim_oracle.run_reference`).  These tests pair the
+two loops over compiled model graphs and crafted edge cases and compare
+every observable: the full schedule trace, makespan, busy/overlap
+metrics, peak memory, the OOM device set, the mid-simulation abort
+(``prune_above``) and — for deadlocks — the exact error message bytes.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from repro.simulation import ProfileCostModel, Simulator, TruthCostModel
 from repro.simulation.costs import MappingCostModel
 from repro.simulation.kernel import lower
 
+from tests.sim_oracle import run_reference
+
 
 def assert_results_identical(a, b) -> None:
     """Every observable of two SimulationResults must match exactly."""
@@ -45,18 +47,20 @@ def assert_results_identical(a, b) -> None:
     assert a.peak_memory == b.peak_memory
     assert a.oom_devices == b.oom_devices
     assert a.schedule == b.schedule
+    assert a.pruned == b.pruned
 
 
 def run_pair(make_cost, dist, **kw):
-    """Run both engines on fresh cost providers; compare outcome or error."""
+    """Run the kernel loop and the oracle on fresh cost providers;
+    compare outcome or error."""
     try:
-        a = Simulator(make_cost()).run(dist, engine="kernel", **kw)
+        a = Simulator(make_cost()).run(dist, **kw)
     except SimulationError as exc:
         with pytest.raises(SimulationError) as err:
-            Simulator(make_cost()).run(dist, engine="reference", **kw)
+            run_reference(make_cost(), dist, **kw)
         assert str(err.value) == str(exc)
         return None
-    b = Simulator(make_cost()).run(dist, engine="reference", **kw)
+    b = run_reference(make_cost(), dist, **kw)
     assert_results_identical(a, b)
     return a
 
@@ -64,20 +68,27 @@ def run_pair(make_cost, dist, **kw):
 # --------------------------------------------------------------------- #
 # paired fuzz over compiled model graphs
 # --------------------------------------------------------------------- #
+def _random_strategies(graph, cluster, seed, count):
+    """``count`` strategies drawing an MP or DP option per op."""
+    rng = random.Random(seed)
+    options = [make_mp_strategy(d) for d in cluster.device_ids]
+    for alloc in (ReplicaAllocation.EVEN, ReplicaAllocation.PROPORTIONAL):
+        for comm in (CommMethod.PS, CommMethod.ALLREDUCE):
+            options.append(make_dp_strategy(cluster, alloc, comm))
+    return [
+        Strategy(graph, cluster,
+                 {n: rng.choice(options) for n in graph.op_names})
+        for _ in range(count)
+    ]
+
+
 @pytest.fixture(scope="module", params=["inception_v3", "bert_large"])
 def compiled(request):
     model = request.param
     cluster = cluster_4gpu() if model == "inception_v3" else cluster_8gpu()
     graph = build_model(model, "tiny")
     profile = Profiler(seed=0).profile(graph, cluster)
-    rng = random.Random(1234)
-    options = [make_mp_strategy(d) for d in cluster.device_ids]
-    for alloc in (ReplicaAllocation.EVEN, ReplicaAllocation.PROPORTIONAL):
-        for comm in (CommMethod.PS, CommMethod.ALLREDUCE):
-            options.append(make_dp_strategy(cluster, alloc, comm))
-    strategy = Strategy(
-        graph, cluster, {n: rng.choice(options) for n in graph.op_names}
-    )
+    strategy, = _random_strategies(graph, cluster, seed=1234, count=1)
     compiler = GraphCompiler(cluster, profile)
     dist = compiler.compile(graph, strategy)
     caps = {d.device_id: d.usable_memory_bytes for d in cluster.devices}
@@ -116,7 +127,7 @@ def test_engines_identical_on_compiled_graphs(compiled, cost_name, make):
 
 
 def test_memory_pressure_oom_sets_identical(compiled):
-    """Shrunken capacities force OOM; both engines must flag the same
+    """Shrunken capacities force OOM; both loops must flag the same
     devices at the same peaks."""
     cluster, profile, dist, resident, caps = compiled
     tight = {d: max(1, int(c * 1e-4)) for d, c in caps.items()}
@@ -125,6 +136,38 @@ def test_memory_pressure_oom_sets_identical(compiled):
         resident_bytes=dict(resident), capacities=tight, trace=True,
     )
     assert result is not None and result.oom
+
+
+# --------------------------------------------------------------------- #
+# paired mid-simulation abort
+# --------------------------------------------------------------------- #
+PRUNE_FRACTIONS = (0.3, 0.6, 0.9, 0.99)
+
+
+@pytest.mark.parametrize("model", ["vgg19", "inception_v3", "bert_large"])
+def test_prune_above_abort_identical(model):
+    """``prune_above`` below the full makespan aborts both loops at the
+    same event: same ``pruned`` flag, same partial makespan (the
+    clock or tail bound that fired) and same partial tables."""
+    cluster = cluster_4gpu()
+    graph = build_model(model, "tiny")
+    profile = Profiler(seed=0).profile(graph, cluster)
+    caps = {d.device_id: d.usable_memory_bytes for d in cluster.devices}
+    for strategy in _random_strategies(graph, cluster, seed=5, count=6):
+        compiler = GraphCompiler(cluster, profile)
+        dist = compiler.compile(graph, strategy)
+        kw = dict(resident_bytes=dict(compiler.resident_bytes),
+                  capacities=caps, trace=True)
+        full = run_pair(lambda: ProfileCostModel(cluster, profile), dist,
+                        **kw)
+        assert not full.pruned
+        for fraction in PRUNE_FRACTIONS:
+            partial = run_pair(
+                lambda: ProfileCostModel(cluster, profile), dist,
+                prune_above=full.makespan * fraction, **kw)
+            assert partial.pruned
+            assert partial.makespan > full.makespan * fraction
+            assert partial.makespan <= full.makespan + 1e-9
 
 
 # --------------------------------------------------------------------- #
@@ -141,7 +184,7 @@ def _chain_graph() -> DistGraph:
 
 def test_cycle_deadlock_messages_byte_equal():
     """A cycle (crafted via direct adjacency mutation, like the engine
-    edge-case tests do) must deadlock both engines with the same text."""
+    edge-case tests do) must deadlock both loops with the same text."""
     g = _chain_graph()
     g._succ["op3"].append("op0")
     g._pred["op0"].append("op3")
@@ -151,7 +194,7 @@ def test_cycle_deadlock_messages_byte_equal():
 
 def test_strict_priority_inversion_deadlock():
     """Strict mode with priorities that invert the DAG order deadlocks;
-    the error text must match the reference engine byte for byte."""
+    the error text must match the oracle byte for byte."""
     g = _chain_graph()
     inverted = {f"op{i}": 10 - i for i in range(4)}
     cost = MappingCostModel({}, default=1.0)
