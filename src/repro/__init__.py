@@ -12,8 +12,9 @@ Public surface:
 - ``repro.scheduling`` — execution-order scheduling.
 - ``repro.agent`` — GNN policy and REINFORCE strategy search.
 - ``repro.baselines`` — DP baselines and related-work schemes.
-- ``repro.plan`` — cached ExecutionPlan layer (PlanBuilder, PlanCache,
-  BatchEvaluator) shared by search, baselines and deployment.
+- ``repro.plan`` — cached ExecutionPlan layer (PlanBuilder, PlanCache)
+  shared by search, baselines and deployment; ``PlanBuilder.evaluate``
+  / ``evaluate_many`` are the one way candidates are scored.
 - ``repro.runtime`` — execution engine (testbed stand-in) and runner.
 - ``repro.service`` — the long-lived planning service (typed
   :class:`PlanRequest`/:class:`PlanResult` surface, request coalescing,

@@ -2,7 +2,7 @@
 
 from .agent import AgentConfig, HeteroGAgent
 from .embedding import GATEncoder
-from .environment import EvalOutcome, StrategyEvaluator
+from .environment import EvalOutcome
 from .features import FeatureEncoder
 from .policy import (
     DP_ACTIONS,
@@ -22,7 +22,6 @@ __all__ = [
     "AgentConfig",
     "GATEncoder",
     "FeatureEncoder",
-    "StrategyEvaluator",
     "EvalOutcome",
     "PolicyNetwork",
     "PolicySample",

@@ -16,8 +16,8 @@ from ..errors import StrategyError
 from ..graph.dag import ComputationGraph
 from ..graph.grouping import Grouping, group_operations
 from ..parallel.strategy import Strategy
+from ..plan import PlanBuilder
 from ..profiling.profiler import Profile, Profiler
-from .environment import StrategyEvaluator
 from .features import FeatureEncoder
 from .policy import PolicyNetwork, num_actions
 from .reinforce import GraphContext, ReinforceTrainer, TrainerConfig
@@ -45,9 +45,6 @@ class AgentConfig:
     use_seeds: bool = True
     use_order_scheduling: bool = True
     seed: int = 0
-    # worker processes for strategy evaluation (1 = serial in-process;
-    # results are bit-identical either way)
-    eval_workers: int = 1
     # winner-safe branch-and-bound pruning (results bit-identical)
     prune: bool = True
     # opt-in best-so-far pruning of REINFORCE rollouts (faster but NOT
@@ -92,7 +89,7 @@ class HeteroGAgent:
         )
         index = {n: i for i, n in enumerate(graph.op_names)}
         assignment = grouping.assignment_matrix(index)
-        evaluator = StrategyEvaluator(
+        builder = PlanBuilder(
             graph, self.cluster, profile,
             use_order_scheduling=self.config.use_order_scheduling,
             group_of=grouping.group_of,
@@ -100,7 +97,7 @@ class HeteroGAgent:
         ctx = GraphContext(
             name=name, graph=graph, grouping=grouping, features=features,
             adjacency_mask=adjacency, assignment=assignment,
-            evaluator=evaluator,
+            builder=builder,
         )
         self._contexts.append(ctx)
         self._trainer = None  # contexts changed; rebuild on next train
@@ -138,7 +135,6 @@ class HeteroGAgent:
                     entropy_weight=cfg.entropy_weight,
                     entropy_decay=cfg.entropy_decay,
                     use_seeds=cfg.use_seeds,
-                    eval_workers=cfg.eval_workers,
                     prune=cfg.prune,
                     prune_rollouts=cfg.prune_rollouts,
                 ),

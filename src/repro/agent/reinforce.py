@@ -21,8 +21,8 @@ from ..graph.grouping import Grouping
 from ..nn import functional as F
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor
-from ..plan import BatchEvaluator, BestSoFar
-from .environment import EvalOutcome, StrategyEvaluator
+from ..plan import BestSoFar, PlanBuilder
+from .environment import EvalOutcome
 from .policy import PolicyNetwork, actions_to_strategy
 from .reward import MovingAverageBaseline, compute_reward
 from .seeds import seed_action_vectors
@@ -42,7 +42,7 @@ class GraphContext:
     features: np.ndarray         # (O, F)
     adjacency_mask: np.ndarray   # (O, O) bool
     assignment: np.ndarray       # (N, O)
-    evaluator: StrategyEvaluator
+    builder: PlanBuilder         # scores this graph's strategies
     baseline: MovingAverageBaseline = field(
         default_factory=lambda: MovingAverageBaseline(0.9)
     )
@@ -71,8 +71,6 @@ class TrainerConfig:
     baseline_decay: float = 0.9
     clip_norm: float = 5.0
     use_seeds: bool = True
-    # worker processes for strategy evaluation; 1 = serial in-process
-    eval_workers: int = 1
     # winner-safe pruning layers (scheduler candidate-race abort etc.);
     # never changes any outcome the trainer sees
     prune: bool = True
@@ -103,10 +101,6 @@ class ReinforceTrainer:
         self._seed_queues: Dict[str, List[np.ndarray]] = {}
         self._repair_attempts: Dict[str, int] = {}
         self._raw_seeds_pending: Dict[str, bool] = {}
-        self._batch = BatchEvaluator(
-            {ctx.name: ctx.evaluator.builder for ctx in self.contexts},
-            max_workers=config.eval_workers,
-        )
         # per-graph best-so-far trackers (only consulted when the
         # prune_rollouts opt-in is set; observation is free otherwise)
         self._best: Dict[str, BestSoFar] = {
@@ -115,7 +109,7 @@ class ReinforceTrainer:
         if config.use_seeds:
             for ctx in self.contexts:
                 self._seed_queues[ctx.name] = seed_action_vectors(
-                    ctx.graph, ctx.evaluator.cluster, ctx.grouping
+                    ctx.graph, ctx.builder.cluster, ctx.grouping
                 )
                 self._raw_seeds_pending[ctx.name] = True
 
@@ -131,7 +125,7 @@ class ReinforceTrainer:
         losses: List[Tensor] = []
         rewards: Dict[str, float] = {}
         # Phase 1: sample one candidate per graph (policy RNG is touched
-        # only here, so batching the evaluations below cannot perturb it).
+        # only here, so the evaluations below cannot perturb it).
         rollouts = []
         for ctx in self.contexts:
             if self._raw_seeds_pending.pop(ctx.name, False):
@@ -145,20 +139,20 @@ class ReinforceTrainer:
                 forced_actions=forced,
             )
             strategy = actions_to_strategy(
-                ctx.graph, ctx.evaluator.cluster, ctx.grouping, sample.actions
+                ctx.graph, ctx.builder.cluster, ctx.grouping, sample.actions
             )
             rollouts.append((ctx, sample, strategy))
-        # Phase 2: evaluate the rollout batch (cached + optionally parallel;
-        # bit-identical to evaluating serially in context order).  The
-        # best-so-far trackers are threaded only under the
+        # Phase 2: score each rollout on its graph's builder, in rollout
+        # order.  The best-so-far trackers are threaded only under the
         # prune_rollouts opt-in (see TrainerConfig).
-        best = (self._best
-                if self.config.prune and self.config.prune_rollouts
-                else None)
-        outcomes = self._batch.evaluate_pairs(
-            [(ctx.name, strategy) for ctx, _, strategy in rollouts],
-            best=best, prune=self.config.prune,
-        )
+        prune_rollouts = self.config.prune and self.config.prune_rollouts
+        outcomes = [
+            ctx.builder.evaluate_many(
+                [strategy],
+                best=self._best[ctx.name] if prune_rollouts else None,
+                prune=self.config.prune)[0]
+            for ctx, _, strategy in rollouts
+        ]
         # Phase 3: rewards, baselines and the policy-gradient loss.
         for (ctx, sample, strategy), outcome in zip(rollouts, outcomes):
             self._maybe_repair_ladder(ctx, sample.actions, outcome)
@@ -217,11 +211,12 @@ class ReinforceTrainer:
         """Evaluate the per-op memory-ladder strategy with a bounded
         rebalance loop (feasibility fallback for the large-model rows)."""
         from .seeds import memory_ladder_strategy, rebalance_weights
-        cluster = ctx.evaluator.cluster
+        cluster = ctx.builder.cluster
         weights = None
         for _ in range(4):
             strategy = memory_ladder_strategy(ctx.graph, cluster, weights)
-            outcome = ctx.evaluator.evaluate(strategy)
+            outcome = ctx.builder.evaluate(strategy,
+                                           prune=self.config.prune)
             if outcome.feasible:
                 if outcome.time < ctx.best_raw_time:
                     ctx.best_raw_time = outcome.time
@@ -244,7 +239,7 @@ class ReinforceTrainer:
             return
         if outcome.result is None or not outcome.result.peak_memory:
             return
-        m = ctx.evaluator.cluster.num_devices
+        m = ctx.builder.cluster.num_devices
         if (actions < m).mean() < 0.5:
             return  # only repair MP-ladder-like candidates
         attempts = self._repair_attempts.get(ctx.name, 0)
@@ -253,7 +248,7 @@ class ReinforceTrainer:
         self._repair_attempts[ctx.name] = attempts + 1
         from .seeds import rebalanced_ladder
         repaired = rebalanced_ladder(
-            ctx.graph, ctx.evaluator.cluster, ctx.grouping,
+            ctx.graph, ctx.builder.cluster, ctx.grouping,
             outcome.result.peak_memory,
         )
         self._seed_queues.setdefault(ctx.name, []).insert(0, repaired)
@@ -261,10 +256,6 @@ class ReinforceTrainer:
     def train(self, episodes: int) -> None:
         for _ in range(episodes):
             self.train_episode()
-
-    def close(self) -> None:
-        """Release the evaluation worker pool (no-op when serial)."""
-        self._batch.close()
 
     # ------------------------------------------------------------------ #
     def best_strategy(self, name: str):
@@ -275,7 +266,7 @@ class ReinforceTrainer:
             return ctx.best_raw_strategy
         if ctx.best_actions is None:
             return None
-        return actions_to_strategy(ctx.graph, ctx.evaluator.cluster,
+        return actions_to_strategy(ctx.graph, ctx.builder.cluster,
                                    ctx.grouping, ctx.best_actions)
 
     def best_time(self, name: str) -> float:

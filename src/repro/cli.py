@@ -194,11 +194,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     cluster = CLUSTERS[args.cluster]()
     graph = build_model(args.model, args.preset)
     print(f"searching strategy for {graph.name} on {cluster} "
-          f"({args.episodes} episodes, {args.workers} eval worker(s))...",
-          file=sys.stderr)
+          f"({args.episodes} episodes)...", file=sys.stderr)
     ctx = ExperimentContext(cluster, seed=args.seed)
     config = bench_agent_config(args.seed)
-    config.eval_workers = args.workers
     config.prune = not args.no_prune
     measured = ctx.run_heterog(graph, episodes=args.episodes,
                                agent_config=config)
@@ -352,7 +350,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
         schedule = churn.schedule(cluster)
     config = HeteroGConfig(episodes=episodes, seed=args.seed,
                            agent=bench_agent_config(args.seed))
-    config.agent.eval_workers = args.workers
     config.agent.prune = not args.no_prune
     heterog = HeteroG(cluster, config)
     with telemetry.session() as tel:
@@ -663,9 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("model", choices=sorted(ALL_MODELS))
     p.add_argument("--episodes", type=int, default=24)
-    p.add_argument("--workers", type=int, default=1,
-                   help="strategy-evaluation worker processes "
-                   "(default: 1 = serial; results are identical)")
+    # accepted for old command lines only; candidates are always
+    # scored in-process
+    p.add_argument("--workers", type=int, choices=[1], default=1,
+                   help=argparse.SUPPRESS)
     p.add_argument("--save", metavar="PATH",
                    help="save the strategy as JSON")
     _add_eval_args(p)
@@ -758,9 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="episodes per replan search (default: 4)")
     p.add_argument("--quick", action="store_true",
                    help="CI smoke mode: trim episodes and steps")
-    p.add_argument("--workers", type=int, default=1,
-                   help="strategy-evaluation worker processes "
-                   "(default: 1 = serial; results are identical)")
     _add_eval_args(p)
     p.add_argument("--preset", choices=["tiny", "bench", "paper"],
                    default="bench", help="model scale (default: bench)")

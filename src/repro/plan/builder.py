@@ -11,7 +11,7 @@ bit-identical to fresh ones (the whole chain is deterministic).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .. import telemetry
 from ..cluster.topology import Cluster
@@ -249,14 +249,14 @@ class PlanBuilder:
         self, strategies: Sequence[Strategy], *,
         best: Optional[BestSoFar] = None,
         prune: bool = True,
-        prune_above: Union[None, float, Sequence[Optional[float]]] = None,
+        prune_above: Optional[float] = None,
     ) -> List[EvalOutcome]:
         """Evaluate a population of candidates through one batched pass.
 
         The single canonical population entry point: every consumer
-        that evaluates more than one candidate (`BatchEvaluator`,
-        REINFORCE episodes, CEM rounds, MCMC restarts) routes through
-        here.  Results are returned in input order and each is exactly
+        that evaluates more than one candidate (REINFORCE episodes, CEM
+        rounds, MCMC restarts) routes through here, in-process.
+        Results are returned in input order and each is exactly
         what :meth:`evaluate` would return — per-candidate outcome
         caching, fingerprinting and best-so-far observation all behave
         identically.
@@ -281,31 +281,20 @@ class PlanBuilder:
         ``prune=False`` or no threshold source the batch degrades to the
         plain input-order sweep.
 
-        ``prune_above`` may be a scalar or a per-candidate sequence of
-        hard caps.
+        ``prune_above`` is one hard cap shared by every candidate.
         """
         strategies = list(strategies)
         if not strategies:
             return []
-        n = len(strategies)
-        if prune_above is None or isinstance(prune_above, (int, float)):
-            thresholds: List[Optional[float]] = [prune_above] * n
-        else:
-            thresholds = list(prune_above)
-            if len(thresholds) != n:
-                raise ValueError(
-                    f"prune_above sequence has {len(thresholds)} entries "
-                    f"for {n} strategies")
         fps = [self.fingerprint(s) for s in strategies]
         first: Dict[str, int] = {}
         for i, fp in enumerate(fps):
             first.setdefault(fp, i)
         unique = [i for i, fp in enumerate(fps) if first[fp] == i]
-        outcomes: List[Optional[EvalOutcome]] = [None] * n
+        outcomes: List[Optional[EvalOutcome]] = [None] * len(strategies)
 
         bounds: Optional[Dict[int, float]] = None
-        may_prune = prune and (best is not None
-                               or any(t is not None for t in thresholds))
+        may_prune = prune and (best is not None or prune_above is not None)
         if may_prune:
             planner = self._lane_planner
             if planner is None:
@@ -317,7 +306,7 @@ class PlanBuilder:
         order = (sorted(unique, key=lambda i: (bounds[i], i))
                  if bounds is not None else unique)
         for i in order:
-            limit = self._prune_limit(best, thresholds[i]) if prune else None
+            limit = self._prune_limit(best, prune_above) if prune else None
             bound = bounds[i] if bounds is not None else float("-inf")
             if limit is not None and exceeds(bound, limit):
                 self.evals_total += 1
@@ -338,7 +327,7 @@ class PlanBuilder:
             else:
                 outcomes[i] = self.evaluate(strategies[i], best=best,
                                             prune=prune,
-                                            prune_above=thresholds[i])
+                                            prune_above=prune_above)
         for i, fp in enumerate(fps):
             if outcomes[i] is None:
                 outcomes[i] = outcomes[first[fp]]
@@ -419,18 +408,3 @@ class PlanBuilder:
             result=result,
             dist_ops=plan.num_dist_ops,
         )
-
-    # ------------------------------------------------------------------ #
-    def seed_outcome(self, fingerprint: str, outcome: EvalOutcome) -> None:
-        """Install an externally-computed outcome (e.g. from a worker
-        process) so later evaluations of the same strategy hit the cache.
-
-        Mid-sim-pruned outcomes are threshold-dependent and are never
-        installed; static bound-pruned ones ("bound" from the lowered
-        kernel, "prebound" from the batched lane planner) are — the
-        bound is a property of the candidate and :meth:`cached_outcome`
-        re-checks it against the serving threshold."""
-        if outcome.pruned and outcome.prune_stage not in ("bound",
-                                                          "prebound"):
-            return
-        self._outcomes.put(fingerprint, outcome)

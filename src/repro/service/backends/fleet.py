@@ -38,8 +38,9 @@ The architecture mirrors optuna-distributed's manager/worker split:
   workers is failed with :class:`~repro.errors.WorkerLostError`
   instead of grinding the fleet down worker by worker.
 
-The fleet serves whole plan requests only; candidate fan-out inside a
-search stays with :class:`~repro.plan.BatchEvaluator`'s private pool.
+The fleet serves whole plan requests only; the candidates inside a
+search are scored in the serving worker's own process, through its
+:class:`~repro.plan.PlanBuilder`.
 
 ``stall_labels`` is the deterministic fault-injection hook the failure
 tests use: requests whose label starts with a key sleep that many

@@ -3,8 +3,8 @@
 A :class:`PlanContext` is the unit of reuse inside the planning
 service: it owns the fitted :class:`~repro.profiling.profiler.Profile`,
 a standalone :class:`~repro.plan.PlanBuilder` for build requests, and a
-lazily created :class:`~repro.agent.HeteroGAgent` (whose evaluator
-wraps its own grouped builder) for search requests.  Repeated requests
+lazily created :class:`~repro.agent.HeteroGAgent` (whose graph
+context carries its own grouped builder) for search requests.  Repeated requests
 on the same context hit the plan layer's fingerprint caches instead of
 recompiling, which is where the service's amortization comes from.
 
@@ -106,11 +106,11 @@ class PlanContext:
 
     @property
     def search_builder(self) -> Optional[PlanBuilder]:
-        """The agent evaluator's builder, if a search ever ran here."""
+        """The agent's search builder, if a search ever ran here."""
         if self._agent is None:
             return None
         ctx = self._agent.try_context(self.graph.name)
-        return ctx.evaluator.builder if ctx is not None else None
+        return ctx.builder if ctx is not None else None
 
     # ------------------------------------------------------------------ #
     def handle(self, request: PlanRequest) -> Served:

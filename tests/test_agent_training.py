@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.agent import AgentConfig, HeteroGAgent, seed_action_vectors
-from repro.agent.environment import StrategyEvaluator
+import dataclasses
+
+from repro.agent import (
+    AgentConfig,
+    HeteroGAgent,
+    actions_to_strategy,
+    compute_reward,
+    seed_action_vectors,
+)
 from repro.errors import StrategyError
 from repro.graph.grouping import group_operations
 from repro.parallel import single_device_strategy
+from repro.plan import PlanBuilder
 from repro.profiling import Profiler
+from repro.scheduling import ListScheduler
 
 from tests.helpers import make_mlp
 
@@ -35,8 +44,8 @@ class TestEvaluator:
     def test_feasible_single_device(self, four_gpu):
         g = make_mlp(name="eval_mlp")
         profile = Profiler(seed=0).profile(g, four_gpu)
-        ev = StrategyEvaluator(g, four_gpu, profile)
-        outcome = ev.evaluate(single_device_strategy(g, four_gpu))
+        builder = PlanBuilder(g, four_gpu, profile)
+        outcome = builder.evaluate(single_device_strategy(g, four_gpu))
         assert outcome.feasible
         assert outcome.time > 0
         assert outcome.dist_ops == len(g)
@@ -46,10 +55,10 @@ class TestEvaluator:
         g = make_mlp(name="order_mlp", layers=4)
         profile = Profiler(seed=0).profile(g, four_gpu)
         st = single_device_strategy(g, four_gpu)
-        with_order = StrategyEvaluator(g, four_gpu, profile,
-                                       use_order_scheduling=True)
-        without = StrategyEvaluator(g, four_gpu, profile,
-                                    use_order_scheduling=False)
+        with_order = PlanBuilder(g, four_gpu, profile,
+                                 use_order_scheduling=True)
+        without = PlanBuilder(g, four_gpu, profile,
+                              use_order_scheduling=False)
         assert with_order.evaluate(st).time <= without.evaluate(st).time * 1.05
 
 
@@ -95,7 +104,7 @@ class TestTrainer:
         ctx = trained_agent.context("train_mlp")
         best = trained_agent.best_time("train_mlp")
         for name, st in all_dp_strategies(ctx.graph, four_gpu).items():
-            outcome = ctx.evaluator.evaluate(st)
+            outcome = ctx.builder.evaluate(st)
             if outcome.feasible:
                 assert best <= outcome.time + 1e-9, name
 
@@ -146,3 +155,45 @@ class TestTrainer:
         agent.train(6)
         assert agent.best_time("g1") < float("inf")
         assert agent.best_time("g2") < float("inf")
+
+    def test_two_graph_rewards_match_builder_evaluate(self, four_gpu):
+        """Each graph's episode reward is the reward of a plain
+        ``PlanBuilder.evaluate`` of the rollout it sampled, on a fresh
+        builder for that graph."""
+        agent = HeteroGAgent(four_gpu, SMALL)
+        for graph in (make_mlp(name="pair_a"),
+                      make_mlp(name="pair_b", layers=4)):
+            agent.add_graph(graph)
+        # the first episodes replay the uniform-DP seeds, in queue order
+        seeds = {ctx.name: seed_action_vectors(ctx.graph, four_gpu,
+                                               ctx.grouping)
+                 for ctx in agent.trainer.contexts}
+        for episode in range(3):
+            rewards = agent.trainer.train_episode()
+            for ctx in agent.trainer.contexts:
+                fresh = PlanBuilder(ctx.graph, four_gpu,
+                                    agent.profile(ctx.name),
+                                    group_of=ctx.grouping.group_of)
+                strategy = actions_to_strategy(
+                    ctx.graph, four_gpu, ctx.grouping,
+                    seeds[ctx.name][episode])
+                expected = compute_reward(fresh.evaluate(strategy))
+                assert rewards[ctx.name] == expected
+            assert rewards["pair_a"] != rewards["pair_b"]
+
+    def test_no_prune_reaches_every_schedule(self, four_gpu, monkeypatch):
+        """``prune=False`` turns off the scheduler's candidate-race
+        pruning everywhere, the memory-ladder raw seeds included."""
+        seen = []
+        schedule = ListScheduler.schedule
+
+        def spy(self, *args, **kwargs):
+            seen.append(kwargs.get("prune", True))
+            return schedule(self, *args, **kwargs)
+
+        monkeypatch.setattr(ListScheduler, "schedule", spy)
+        agent = HeteroGAgent(four_gpu,
+                             dataclasses.replace(SMALL, prune=False))
+        agent.add_graph(make_mlp(name="no_prune_mlp"))
+        agent.train(1)
+        assert seen and not any(seen)

@@ -11,7 +11,6 @@ import warnings
 import pytest
 
 from repro.agent import AgentConfig
-from repro.baselines import DP_BASELINES, dp_strategy
 from repro.cluster import cluster_4gpu
 from repro.config import HeteroGConfig
 from repro.errors import (
@@ -21,7 +20,6 @@ from repro.errors import (
     ServiceOverloadedError,
     WorkerLostError,
 )
-from repro.plan import BatchEvaluator, PlanBuilder
 from repro.service import (
     InlineBackend,
     PlanRequest,
@@ -376,22 +374,3 @@ class TestFleetBackend:
             assert backend.snapshot()["alive"] == 0
         exits = journal_events(svc, event="worker_exit")
         assert len(exits) >= 2
-
-    def test_batch_evaluator_uses_private_pool_beside_fleet(
-            self, mlp, four_gpu):
-        """A live fleet serves plan requests only: candidate fan-out
-        stays on the evaluator's private pool, bit-identical to serial."""
-        strategies = [dp_strategy(n, mlp, four_gpu)
-                      for n in DP_BASELINES]
-        serial = [PlanBuilder(mlp, four_gpu).evaluate(s)
-                  for s in strategies]
-        svc, backend = self.fleet_service("beside")
-        with svc:
-            backend.ensure_started()
-            with BatchEvaluator(PlanBuilder(mlp, four_gpu),
-                                max_workers=2) as batch:
-                outcomes = batch.evaluate(strategies)
-                assert batch._pool is not None   # the private pool ran
-            assert backend.stats.dispatched == 0
-        assert [o.time for o in outcomes] == [o.time for o in serial]
-        assert [o.oom for o in outcomes] == [o.oom for o in serial]

@@ -72,12 +72,8 @@ def serial_truth(graph, profile, pool, **builder_kwargs):
     return [builder.evaluate(s, prune=False) for s in pool]
 
 
-def assert_paired(outcomes, truth, *, check_winner=True):
-    """The paired-fuzz contract for one (batched, serial) pool sweep.
-
-    ``check_winner=False`` for sweeps under per-lane hard limits, which
-    may legitimately kill the true winner (``prune_above`` is a cap,
-    not a best-so-far)."""
+def assert_paired(outcomes, truth):
+    """The paired-fuzz contract for one (batched, serial) pool sweep."""
     assert len(outcomes) == len(truth)
     for got, want in zip(outcomes, truth):
         if got.pruned:
@@ -95,8 +91,6 @@ def assert_paired(outcomes, truth, *, check_winner=True):
             assert got.feasible == want.feasible
             assert got.oom == want.oom
     # winner identity (byte-equal), when any lane is feasible
-    if not check_winner:
-        return
     times = [o.time if o.feasible else float("inf") for o in truth]
     idx = min(range(len(times)), key=times.__getitem__)
     if math.isfinite(times[idx]):
@@ -207,33 +201,6 @@ class TestPruneAboveLanes:
         for got, want in zip(outcomes, truth):
             if want.feasible and want.time > limit:
                 assert got.pruned
-
-    def test_per_strategy_thresholds(self):
-        graph = random_graph(2, 16, 8, True)
-        profile = exact_profile(graph, CLUSTER)
-        pool = candidate_strategies(graph, np.random.default_rng(7), 3)
-        truth = serial_truth(graph, profile, pool)
-        builder = PlanBuilder(graph, CLUSTER, profile)
-        thresholds = [None, 1e-12, None]
-        outcomes = builder.evaluate_many(pool, prune_above=thresholds)
-        # a per-lane hard limit may kill the true winner by design
-        assert_paired(outcomes, truth, check_winner=False)
-        # unthresholded lanes are always fully evaluated
-        assert not outcomes[0].pruned
-        assert not outcomes[2].pruned
-        # the tightly-thresholded lane is killed whenever its lane
-        # bound is finite (reconstruction failures degrade to -inf and
-        # must fall through to the full pipeline)
-        if outcomes[1].pruned:
-            assert outcomes[1].bound > 1e-12
-
-    def test_threshold_sequence_length_mismatch(self):
-        graph = random_graph(1, 8, 4, False)
-        profile = exact_profile(graph, CLUSTER)
-        pool = candidate_strategies(graph, np.random.default_rng(1), 3)
-        builder = PlanBuilder(graph, CLUSTER, profile)
-        with pytest.raises(ValueError):
-            builder.evaluate_many(pool, prune_above=[1.0])
 
     def test_prebound_kill_avoids_compilation(self):
         """Lanes killed by the lane bound never reach the compiler:

@@ -26,7 +26,7 @@ from repro.parallel.strategy import (
     make_dp_strategy,
     make_mp_strategy,
 )
-from repro.plan import BatchEvaluator, BestSoFar, PlanBuilder
+from repro.plan import BestSoFar, PlanBuilder
 from repro.profiling import Profiler, exact_profile
 from repro.scheduling import ListScheduler
 from repro.service.messages import (
@@ -236,14 +236,13 @@ class TestWinnerIdentity:
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(graph_and_pool())
-    def test_batch_evaluator_shared_best_same_winner(self, payload):
+    def test_evaluate_many_shared_best_same_winner(self, payload):
         graph, pool = payload
         profile = exact_profile(graph, CLUSTER)
         ref = PlanBuilder(graph, CLUSTER, profile)
         idx0, t0, _ = serial_winner(ref, pool, prune=False)
-        with BatchEvaluator(PlanBuilder(graph, CLUSTER, profile),
-                            max_workers=1) as batch:
-            outcomes = batch.evaluate(pool, best=BestSoFar())
+        outcomes = PlanBuilder(graph, CLUSTER, profile).evaluate_many(
+            pool, best=BestSoFar())
         times = [o.time if o.feasible else float("inf") for o in outcomes]
         idx1 = min(range(len(times)), key=times.__getitem__)
         assert (idx1, times[idx1]) == (idx0, t0)

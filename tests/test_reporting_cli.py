@@ -139,6 +139,15 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_workers_flag_left_only_on_plan_with_one_value(self):
+        parser = build_parser()
+        assert parser.parse_args(["plan", "vgg19", "--workers", "1"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["plan", "vgg19", "--workers", "2"])
+        assert parser.parse_args(["churn", "vgg19"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["churn", "vgg19", "--workers", "1"])
+
 
 class TestCLITrace:
     def test_trace_writes_chrome_trace(self, capsys, tmp_path):

@@ -16,6 +16,7 @@ from repro.errors import (
     ServiceOverloadedError,
     ServiceTimeoutError,
 )
+from repro.graph.models import build_model
 from repro.service import PlanRequest, PlanningService
 
 from tests.helpers import make_mlp
@@ -111,6 +112,23 @@ class TestRequestValidation:
         a = search_request(mlp, four_gpu, label="x", timeout=5.0, priority=2)
         b = search_request(mlp, four_gpu)
         assert a.fingerprint == b.fingerprint
+
+    def test_digests_pinned(self, four_gpu):
+        """Context keys and fingerprints are cache identities (the
+        service's result cache, warm contexts and any journal that
+        names them): a config refactor must not move them."""
+        graph = build_model("vgg19", "tiny")
+        default = PlanRequest(graph=graph, cluster=four_gpu, episodes=2)
+        assert default.context_key == (
+            "fb916affa7b7a28138236c885c8b29f39bf576d13d70622b2934626f3fe0f547")
+        assert default.fingerprint == (
+            "a714deefc71dce14bd4247de469e198371433bd159693651f3518feb98130aa3")
+        unpruned = PlanRequest(graph=graph, cluster=four_gpu, episodes=2,
+                               config=HeteroGConfig(seed=3), prune=False)
+        assert unpruned.context_key == (
+            "7c80eabd30cb19fb2331e43a38a052d5e5efeca438589e5bd3b55480285d9f5b")
+        assert unpruned.fingerprint == (
+            "2c1d3103bb7809d0f7edd701332bff0dfe7d6abfc5cc72b7077d2ef50fdaddc7")
 
 
 class TestServiceValidation:
