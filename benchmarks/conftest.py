@@ -1,8 +1,8 @@
 """Benchmark-suite plumbing.
 
 Every benchmark regenerates one table/figure of the paper, prints it,
-and appends it to ``results/<name>.txt`` so a tee'd run leaves a full
-record.  Scale knobs (all optional):
+and (outside ``--quick`` smoke mode) writes it to ``results/<name>.txt``
+so a full run leaves a record.  Scale knobs (all optional):
 
 - ``REPRO_PRESET``   : ``bench`` (default, minutes) or ``paper`` (slow);
 - ``REPRO_EPISODES`` : RL episodes per HeteroG search (default 24);
@@ -45,13 +45,14 @@ def results_dir() -> pathlib.Path:
 
 
 @pytest.fixture
-def report(results_dir, request):
-    """Callable that prints a rendered table and persists it."""
+def report(results_dir, request, quick):
+    """Callable that prints a rendered table and persists it (full runs
+    only: a ``--quick`` smoke run leaves the committed record alone)."""
 
     def _report(title: str, body: str) -> None:
         text = f"== {title} ==\n{body}\n"
         print("\n" + text)
-        out = results_dir / f"{request.node.name}.txt"
-        out.write_text(text)
+        if not quick:
+            (results_dir / f"{request.node.name}.txt").write_text(text)
 
     return _report

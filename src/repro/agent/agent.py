@@ -14,7 +14,7 @@ import numpy as np
 from ..cluster.topology import Cluster
 from ..errors import StrategyError
 from ..graph.dag import ComputationGraph
-from ..graph.grouping import Grouping, group_operations
+from ..graph.grouping import group_operations
 from ..parallel.strategy import Strategy
 from ..plan import PlanBuilder
 from ..profiling.profiler import Profile, Profiler

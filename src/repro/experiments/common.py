@@ -10,20 +10,18 @@ scale: ``bench`` regenerates every table/figure in minutes on CPU,
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..agent import AgentConfig, HeteroGAgent
+from ..agent import AgentConfig
 from ..cluster.topology import Cluster
-from ..errors import OutOfMemoryError
+from ..config import HeteroGConfig
+from ..errors import StrategyError
 from ..graph.dag import ComputationGraph
-from ..graph.models import build_model
 from ..parallel.strategy import Strategy
 from ..plan import PlanBuilder
-from ..profiling.profiler import Profile, Profiler
-from ..runtime.deployment import build_deployment
-from ..runtime.execution_engine import ExecutionEngine
+from ..profiling.profiler import Profile
+from ..service import PlanningService, PlanRequest, PlanResult
 
 
 def env_preset(default: str = "bench") -> str:
@@ -107,94 +105,76 @@ class MeasuredStrategy:
 
 
 class ExperimentContext:
-    """Caches profiles/plan-builders per (graph, cluster) across
-    measurements, so sweeps that revisit a strategy reuse its plan."""
+    """Experiment-side client of an inline planning service.
+
+    Profiles, plan builders, searches and engine measurements all run on
+    the service's warm per-(graph, cluster, config) contexts, the same
+    path the :class:`~repro.heterog.HeteroG` facade and ``repro serve``
+    take, so sweeps that revisit a strategy reuse its plan.
+    """
 
     def __init__(self, cluster: Cluster, seed: int = 0):
         self.cluster = cluster
         self.seed = seed
-        self._profiles: Dict[str, Profile] = {}
-        self._builders: Dict[Tuple[str, bool], PlanBuilder] = {}
+        self.service = PlanningService(workers=0, name="experiments")
+
+    def _request(self, graph: ComputationGraph, *,
+                 agent_config: Optional[AgentConfig] = None,
+                 **fields) -> PlanRequest:
+        agent = agent_config or bench_agent_config(self.seed)
+        return PlanRequest(
+            graph=graph, cluster=self.cluster, prune=agent.prune,
+            config=HeteroGConfig(seed=self.seed, agent=agent),
+            label="experiment", **fields,
+        )
 
     def profile(self, graph: ComputationGraph) -> Profile:
-        if graph.name not in self._profiles:
-            self._profiles[graph.name] = Profiler(seed=self.seed).profile(
-                graph, self.cluster
-            )
-        return self._profiles[graph.name]
+        return self.service.context_for(self._request(graph)).profile
 
     def builder(self, graph: ComputationGraph, *,
                 use_order_scheduling: bool = True) -> PlanBuilder:
         """Shared PlanBuilder for (graph, order flag) on this cluster."""
-        key = (graph.name, use_order_scheduling)
-        if key not in self._builders:
-            self._builders[key] = PlanBuilder(
-                graph, self.cluster, self.profile(graph),
-                use_order_scheduling=use_order_scheduling,
-            )
-        return self._builders[key]
+        return self.service.context_for(self._request(
+            graph, use_order_scheduling=use_order_scheduling)).builder
 
     def measure(self, graph: ComputationGraph, strategy: Strategy,
                 label: str, *, use_order_scheduling: bool = True,
                 iterations: Optional[int] = None) -> MeasuredStrategy:
         """Deploy + run a strategy on the engine; OOM becomes a row value."""
-        deployment = build_deployment(
-            graph, self.cluster, strategy,
-            builder=self.builder(
-                graph, use_order_scheduling=use_order_scheduling
-            ),
-        )
-        engine = ExecutionEngine(self.cluster, seed=self.seed + 1)
-        try:
-            stats = engine.measure(
-                deployment.dist, deployment.schedule,
-                deployment.resident_bytes,
-                iterations=iterations or env_iterations(),
-            )
-        except OutOfMemoryError:
-            return MeasuredStrategy(label=label, time=float("inf"), oom=True,
-                                    strategy=strategy,
-                                    mix=strategy.strategy_mix())
-        last = stats.last_result
-        extras = {}
-        if last is not None:
-            extras = {
-                "computation_time": last.computation_time,
-                "communication_time": last.communication_time,
-                "overlap_ratio": last.overlap_ratio,
-            }
-        return MeasuredStrategy(label=label, time=stats.mean,
-                                strategy=strategy,
-                                mix=strategy.strategy_mix(), extras=extras)
+        return _measured(label, self.service.plan(self._request(
+            graph, strategy=strategy,
+            use_order_scheduling=use_order_scheduling,
+            measure_iterations=iterations or env_iterations(),
+        )))
 
     def run_heterog(self, graph: ComputationGraph, *,
                     episodes: Optional[int] = None,
                     agent_config: Optional[AgentConfig] = None,
-                    use_order_scheduling: bool = True,
                     iterations: Optional[int] = None) -> MeasuredStrategy:
         """Full HeteroG pipeline: search on the simulator, measure on the
         engine."""
-        config = agent_config or bench_agent_config(self.seed)
-        agent = HeteroGAgent(self.cluster, config)
-        agent.add_graph(graph, self.profile(graph))
-        start = time.time()
-        agent.train(episodes if episodes is not None else env_episodes())
-        search_seconds = time.time() - start
-        strategy = agent.best_strategy(graph.name)
-        measured = self.measure(
-            graph, strategy, "HeteroG",
-            use_order_scheduling=use_order_scheduling,
-            iterations=iterations,
-        )
-        measured.extras["search_seconds"] = search_seconds
-        measured.extras["simulated_time"] = agent.best_time(graph.name)
+        result = self.service.plan(self._request(
+            graph, agent_config=agent_config,
+            episodes=episodes if episodes is not None else env_episodes(),
+            max_rounds=1,
+            measure_iterations=iterations or env_iterations(),
+        ))
+        measured = _measured("HeteroG", result)
+        measured.extras["simulated_time"] = result.outcome.time
         return measured
 
 
-def build_row_model(model: str, preset: str, overrides: Dict[str, object]
-                    ) -> ComputationGraph:
-    """Build a registry model with per-row overrides."""
-    return build_model(model, preset, **overrides)
+def _measured(label: str, result: PlanResult) -> MeasuredStrategy:
+    """One engine-measured service result as a table row."""
+    strategy = result.strategy
+    if result.measured_time is None:  # compile/simulate failed outright
+        raise StrategyError(f"{label}: no deployment for "
+                            f"{strategy.graph.name!r} on {strategy.cluster}")
+    return MeasuredStrategy(
+        label=label, time=result.measured_time, oom=result.measured_oom,
+        strategy=strategy, mix=strategy.strategy_mix(),
+        extras=dict(result.extras),
+    )
 
 
 def format_table(headers: List[str], rows: List[List[str]]) -> str:

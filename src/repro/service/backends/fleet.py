@@ -130,6 +130,7 @@ def _worker_serve(contexts: "OrderedDict[str, Any]", request,
         measured_time=served.measured_time,
         measured_oom=served.measured_oom,
         request_id=request.request_id,
+        extras=served.extras,
     )
 
 

@@ -4,9 +4,12 @@ A :class:`PlanContext` is the unit of reuse inside the planning
 service: it owns the fitted :class:`~repro.profiling.profiler.Profile`,
 a standalone :class:`~repro.plan.PlanBuilder` for build requests, and a
 lazily created :class:`~repro.agent.HeteroGAgent` (whose graph
-context carries its own grouped builder) for search requests.  Repeated requests
-on the same context hit the plan layer's fingerprint caches instead of
-recompiling, which is where the service's amortization comes from.
+context carries its own grouped builder) for search requests.  Either
+request kind deploys from its builder's plan cache and, when asked,
+runs that deployment on the execution engine through one ``_measure``.
+Repeated requests on the same context hit the plan layer's fingerprint
+caches instead of recompiling, which is where the service's
+amortization comes from.
 
 Contexts are internally locked: the service may serve many contexts
 concurrently, but requests on one context run serialized, keeping every
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .. import telemetry
@@ -46,6 +50,7 @@ class Served:
     outcome_cache_hits: int = 0
     measured_time: Optional[float] = None
     measured_oom: bool = False
+    extras: dict = field(default_factory=dict)
 
 
 class PlanContext:
@@ -116,9 +121,11 @@ class PlanContext:
     def handle(self, request: PlanRequest) -> Served:
         """Serve one request (caller holds ``self.lock``)."""
         self.served += 1
-        if request.is_search:
-            return self._search(request)
-        return self._build(request)
+        served = self._search(request) if request.is_search \
+            else self._build(request)
+        if request.measure_iterations and served.deployment is not None:
+            self._measure(served, request.measure_iterations)
+        return served
 
     def _search(self, request: PlanRequest) -> Served:
         """Train the RL agent until a feasible strategy emerges."""
@@ -134,6 +141,7 @@ class PlanContext:
         ran = 0
         record_event("search_started", episodes=budget,
                      max_rounds=request.max_rounds)
+        start = time.perf_counter()
         with telemetry.span("pipeline.search", graph=self.graph.name,
                             episodes=budget):
             for _ in range(request.max_rounds):
@@ -146,6 +154,7 @@ class PlanContext:
                 outcome = builder.evaluate(strategy, prune=prune)
                 if outcome.feasible:
                     break
+        search_seconds = time.perf_counter() - start
         if outcome is None or not outcome.feasible:
             raise StrategyError(
                 f"no feasible strategy found for {self.graph.name!r} on "
@@ -163,10 +172,11 @@ class PlanContext:
             profile=self.profile, episodes=ran,
             plan_cache_hits=builder.plan_cache.hits,
             outcome_cache_hits=builder.outcome_cache.hits,
+            extras={"search_seconds": search_seconds},
         )
 
     def _build(self, request: PlanRequest) -> Served:
-        """Build (and optionally engine-measure) an explicit strategy."""
+        """Build an explicit strategy's deployment."""
         builder = self.builder
         outcome = builder.evaluate(
             request.strategy,
@@ -179,22 +189,17 @@ class PlanContext:
                     builder.build(request.strategy))
             record_event("plan_built", dist_ops=deployment.num_dist_ops,
                          makespan=outcome.time)
-        measured_time: Optional[float] = None
-        measured_oom = False
-        if request.measure_iterations and deployment is not None:
-            measured_time, measured_oom = self._measure(
-                deployment, request.measure_iterations)
         return Served(
             strategy=request.strategy, outcome=outcome,
             deployment=deployment, profile=self.profile,
             plan_cache_hits=builder.plan_cache.hits,
             outcome_cache_hits=builder.outcome_cache.hits,
-            measured_time=measured_time, measured_oom=measured_oom,
         )
 
-    def _measure(self, deployment: Deployment,
-                 iterations: int) -> "tuple[float, bool]":
-        """Run the deployment on the execution engine (testbed stand-in)."""
+    def _measure(self, served: Served, iterations: int) -> None:
+        """Run the served deployment on the execution engine (testbed
+        stand-in); an engine OOM is a result, not an error."""
+        deployment = served.deployment
         engine = ExecutionEngine(
             self.cluster,
             jitter_sigma=self.config.engine_jitter_sigma,
@@ -206,5 +211,13 @@ class PlanContext:
                 deployment.resident_bytes, iterations=iterations,
             )
         except OutOfMemoryError:
-            return float("inf"), True
-        return stats.mean, False
+            served.measured_time, served.measured_oom = float("inf"), True
+            return
+        served.measured_time = stats.mean
+        last = stats.last_result
+        if last is not None:
+            served.extras.update(
+                computation_time=last.computation_time,
+                communication_time=last.communication_time,
+                overlap_ratio=last.overlap_ratio,
+            )

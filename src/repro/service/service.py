@@ -444,6 +444,7 @@ class PlanningService:
             measured_time=served.measured_time,
             measured_oom=served.measured_oom,
             request_id=request.request_id,
+            extras=served.extras,
         )
 
     def _finish(self, ticket: PlanTicket,

@@ -12,6 +12,9 @@ from repro.experiments import (
 )
 from repro.experiments.tables import _batch_for, mp_fraction
 from repro.graph.models import build_model
+from repro.parallel.compiler import GraphCompiler
+from repro.plan import PlanBuilder
+from repro.plan.fingerprint import fingerprint_strategy
 
 
 class TestCommon:
@@ -43,6 +46,53 @@ class TestCommon:
         assert not m.oom
         assert m.extras["search_seconds"] > 0
         assert m.extras["simulated_time"] > 0
+
+    def test_run_heterog_compiles_winner_once(self, four_gpu, monkeypatch):
+        """The winner is deployed from the search's plan cache: one
+        compile per distinct candidate, none extra for the deployment."""
+        compiles = []
+        candidates = set()
+        compile_ = GraphCompiler.compile
+        evaluate, evaluate_many = PlanBuilder.evaluate, \
+            PlanBuilder.evaluate_many
+
+        def spy_compile(self, *args, **kwargs):
+            compiles.append(1)
+            return compile_(self, *args, **kwargs)
+
+        def spy_evaluate(self, strategy, **kwargs):
+            candidates.add(self.fingerprint(strategy))
+            return evaluate(self, strategy, **kwargs)
+
+        def spy_evaluate_many(self, strategies, **kwargs):
+            candidates.update(self.fingerprint(s) for s in strategies)
+            return evaluate_many(self, strategies, **kwargs)
+
+        monkeypatch.setattr(GraphCompiler, "compile", spy_compile)
+        monkeypatch.setattr(PlanBuilder, "evaluate", spy_evaluate)
+        monkeypatch.setattr(PlanBuilder, "evaluate_many", spy_evaluate_many)
+        ctx = ExperimentContext(four_gpu, seed=0)
+        m = ctx.run_heterog(build_model("transformer", "tiny"), episodes=4,
+                            agent_config=_tiny_agent_config(), iterations=2)
+        assert not m.oom
+        assert candidates
+        assert len(compiles) == len(candidates)
+
+    def test_pinned_results(self, four_gpu):
+        """Search, deployment and engine measurement on a tiny graph
+        reproduce recorded values bit for bit."""
+        from repro.baselines import dp_strategy
+        g = build_model("transformer", "tiny")
+        ctx = ExperimentContext(four_gpu, seed=0)
+        m = ctx.run_heterog(g, episodes=4, agent_config=_tiny_agent_config(),
+                            iterations=2)
+        assert m.time == 0.0020124632969669405
+        assert m.extras["simulated_time"] == 0.002039106047784001
+        assert fingerprint_strategy("pin", m.strategy) == (
+            "58d41f7f90197299ad86b1140776f529f4229c8804b083e3d5c218070b6bf20f")
+        fifo = ctx.measure(g, dp_strategy("CP-AR", g, four_gpu), "CP-AR",
+                           use_order_scheduling=False, iterations=2)
+        assert fifo.time == 0.004387548784879578
 
     def test_batch_for_scales(self):
         assert _batch_for("vgg19", 8) == {}

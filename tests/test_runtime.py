@@ -6,7 +6,6 @@ import repro
 from repro.agent import AgentConfig
 from repro.baselines import dp_strategy
 from repro.errors import OutOfMemoryError, ReproError
-from repro.graph.models import build_model
 from repro.parallel import single_device_strategy
 from repro.runtime import (
     ConvergenceModel,

@@ -177,6 +177,25 @@ class TestInlineService:
         assert built.deployment is not None
         assert built.outcome.feasible
 
+    def test_search_measures_like_a_build(self, mlp, four_gpu):
+        """``measure_iterations`` applies to searches too: the searched
+        winner is engine-measured, with the same time and breakdown a
+        build request for that strategy gets."""
+        with PlanningService(workers=0) as service:
+            searched = service.plan(search_request(
+                mlp, four_gpu, measure_iterations=2))
+            built = service.plan(PlanRequest(
+                graph=mlp, cluster=four_gpu, strategy=searched.strategy,
+                config=fast_config(), measure_iterations=2))
+        assert searched.measured_time is not None
+        assert 0 < searched.measured_time < float("inf")
+        assert searched.extras["computation_time"] > 0
+        assert searched.extras["communication_time"] >= 0
+        assert searched.measured_time == built.measured_time
+        for key in ("computation_time", "communication_time",
+                    "overlap_ratio"):
+            assert searched.extras[key] == built.extras[key]
+
     def test_failure_not_cached(self, mlp, four_gpu):
         """A failed request must not poison the result cache."""
         from repro.parallel import single_device_strategy
